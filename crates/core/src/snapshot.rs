@@ -145,7 +145,9 @@ pub fn rng_to_string(rng: &StdRng) -> String {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::BadField`] on any malformed component.
+/// [`SnapshotError::BadField`] on any malformed component, and on a triple
+/// no generator reports: block counter 0 or word index above 16. The
+/// generator would silently wrap or clamp those into a different stream.
 pub fn rng_from_string(field: &'static str, value: &str) -> Result<StdRng, SnapshotError> {
     let bad = || SnapshotError::BadField {
         field,
@@ -155,7 +157,7 @@ pub fn rng_from_string(field: &'static str, value: &str) -> Result<StdRng, Snaps
     let key_part = parts.next().ok_or_else(bad)?;
     let counter: u64 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
     let index: usize = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-    if parts.next().is_some() {
+    if parts.next().is_some() || counter == 0 || index > 16 {
         return Err(bad());
     }
     let mut key = [0u32; 8];
@@ -400,6 +402,21 @@ mod tests {
         let mut resumed = rng_from_string("rng", &rng_to_string(&rng)).unwrap();
         for _ in 0..100 {
             assert_eq!(rng.gen::<u64>(), resumed.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn rng_string_rejects_triples_no_generator_reports() {
+        let key = "00000001,00000002,00000003,00000004,00000005,00000006,00000007,00000008";
+        assert!(rng_from_string("rng", &format!("{key}/5/16")).is_ok());
+        for bad in [format!("{key}/5/17"), format!("{key}/0/3")] {
+            assert!(
+                matches!(
+                    rng_from_string("rng", &bad),
+                    Err(SnapshotError::BadField { field: "rng", .. })
+                ),
+                "{bad} was accepted"
+            );
         }
     }
 
